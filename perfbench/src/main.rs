@@ -176,12 +176,13 @@ fn closed_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Trace
     }
 }
 
-/// Offers one frame per camera every `1 / rate_hz` seconds on a schedule
-/// that does not wait for the fleet, polling whenever frames are queued.
+/// Offers one frame per camera every `1 / rate_hz` seconds, `ticks` times,
+/// on a schedule that does not wait for the fleet, polling whenever frames
+/// are queued.
 /// A bench-side mirror of the per-camera FIFO queues (the fleet polls at
 /// most `batch_size` frames per camera per sweep) tells which frames each
 /// poll completed, so every frame is timed from when it was due.
-fn open_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Tracer>) -> Open {
+fn open_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Tracer>, ticks: usize) -> Open {
     let period = Duration::from_secs_f64(1.0 / w.open.rate_hz);
     let capacity = w.fleet.queue_capacity;
     let batch = w.fleet.batch_size;
@@ -191,7 +192,7 @@ fn open_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Tracer>
     let mut tick = 0usize;
     loop {
         let now = Instant::now();
-        while tick < w.open.ticks && t0 + period * tick as u32 <= now {
+        while tick < ticks && t0 + period * tick as u32 <= now {
             let due = t0 + period * tick as u32;
             out.lag_ms.push(now.saturating_duration_since(due).as_secs_f64() * 1e3);
             let dropped = ingest(fleet, tracer, 1);
@@ -224,7 +225,7 @@ fn open_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Tracer>
             }
             let mirrored_backlog: usize = queues.iter().map(VecDeque::len).sum();
             out.mirror_ok &= popped == processed && mirrored_backlog == fleet.backlog();
-        } else if tick >= w.open.ticks {
+        } else if tick >= ticks {
             break;
         } else {
             // Sleep until just before the next tick, then spin: a parked
@@ -243,10 +244,13 @@ fn open_loop(w: &Workload, fleet: &mut FleetRuntime<'_>, tracer: Option<&Tracer>
 }
 
 /// Hash of every statement result (matches, counts, virtual cost bits and
-/// per-window aggregate reports). Equal for any batching of the same frames.
-fn statement_digest(pass: &Pass) -> u64 {
+/// per-window aggregate reports) and of the fleet-wide cache and billing
+/// counters, which depend on batching too, so only identical drives compare
+/// equal.
+fn full_digest(pass: &Pass) -> u64 {
+    let o = &pass.outcome;
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    for s in &pass.outcome.statements {
+    for s in &o.statements {
         (&s.name, s.camera, &s.run.matched_frames, s.run.frames_total).hash(&mut h);
         (s.run.frames_passed_filter, s.run.frames_detected, s.run.virtual_ms.to_bits()).hash(&mut h);
     }
@@ -258,15 +262,6 @@ fn statement_digest(pass: &Pass) -> u64 {
             }
         }
     }
-    h.finish()
-}
-
-/// [`statement_digest`] plus the fleet-wide cache and billing counters,
-/// which depend on batching too, so only identical drives compare equal.
-fn full_digest(pass: &Pass) -> u64 {
-    let o = &pass.outcome;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    statement_digest(pass).hash(&mut h);
     (o.detector_invocations, o.cache_hits, o.cache_evictions, o.cache_resident_bytes, o.cache_evicted_bytes)
         .hash(&mut h);
     (o.frames_ingested, o.frames_dropped, o.shared.shared_total_ms.to_bits(), o.coalesced_frames).hash(&mut h);
@@ -578,7 +573,7 @@ impl Measured<'_> {
     }
 
     fn failed(&self) -> u64 {
-        self.open.dropped + self.open.late(self.w.latency_limit_ms)
+        self.open.dropped + self.open.late(workload::LATENCY_LIMIT_MS)
     }
 
     fn rmse(mse: &[f64]) -> f64 {
@@ -611,7 +606,6 @@ impl Measured<'_> {
             ("frames_per_s", Self::fps(&self.closed), "1/s"),
             ("frame_latency_p50_ms", quantile(&self.open.latency_ms, 0.5), "ms"),
             ("virtual_speedup", brute_ms / charged_ms, "x"),
-            ("select_recall", if q.true_frames == 0 { 1.0 } else { q.found as f64 / q.true_frames as f64 }, "frac"),
             ("agg_rmse", Self::rmse(&q.agg_mse), "frac"),
             ("peak_rss_mb", peak_rss_mb(), "MB"),
         ]
@@ -619,6 +613,7 @@ impl Measured<'_> {
 
     fn per_layer(&self, t: &TracedReps) -> Metrics {
         let (o, q, open, s) = (&self.reference.outcome, &self.quality, &self.open, &t.spans);
+        let recall = if q.true_frames == 0 { 1.0 } else { q.found as f64 / q.true_frames as f64 };
         let b = &s.breakdown;
         let poll_ms: Vec<f64> = self.closed.iter().flat_map(|c| c.poll_ms.iter().copied()).collect();
         let polls: usize = self.closed.iter().map(|c| c.poll_ms.len() + 1).sum();
@@ -652,6 +647,7 @@ impl Measured<'_> {
             ),
             ("query.brute_force_plans", self.w.planning.brute_force_plans as f64, "count"),
             ("query.filter_pass_rate", self.filter_pass_rate(), "frac"),
+            ("select_recall", recall, "frac"),
             ("aggregate.windows", windows, "count"),
             ("aggregate.ms_per_window", ratio(s.estimator_ns as f64 / 1e6, s.estimator_calls as f64), "ms"),
             ("aggregate.share", share(b.estimator_ns), "frac"),
@@ -712,10 +708,13 @@ fn main() {
     let exec_before = vmq_exec::stats();
     let growth_before = vmq_nn::scratch_growth_events();
 
-    // The open loop follows a fixed schedule; the closed loops fill the rest
+    // The open loops follow fixed schedules; the closed loops fill the rest
     // of the budget, split between untraced and traced repetitions when
-    // tracing.
-    let closed_s = (args.seconds - w.open.seconds()).max(0.0) / if args.trace { 2.0 } else { 1.0 };
+    // tracing. The traced open loop only feeds spans, so a quarter of the
+    // schedule is enough.
+    let traced_ticks = w.open.ticks / 4;
+    let open_s = w.open.seconds() + if args.trace { traced_ticks as f64 / w.open.rate_hz } else { 0.0 };
+    let closed_s = (args.seconds - open_s).max(0.0) / if args.trace { 2.0 } else { 1.0 };
     let (closed, same) = closed_reps(&w, closed_s, reference_digest);
     let tasks_executed = vmq_exec::stats().tasks_executed - exec_before.tasks_executed;
     checks.push(Check {
@@ -748,19 +747,28 @@ fn main() {
         });
     }
 
-    // Open loop: untraced for the end-to-end latencies, traced for the spans.
-    let open_tracer = args.trace.then(Tracer::new);
-    let (open_pass, open) =
-        workload::run_fleet(&w, w.open.cameras, open_tracer.as_ref(), |f| open_loop(&w, f, open_tracer.as_ref()));
+    // Open loop, untraced: every latency and queueing figure comes from it.
+    let (open_pass, open) = workload::run_fleet(&w, w.open.cameras, None, |f| open_loop(&w, f, None, w.open.ticks));
     checks.push(Check {
         name: "open-loop queue mirror matches the fleet backlog",
         ok: open.mirror_ok,
         detail: String::new(),
     });
-    if let (Some(tracer), Some(t)) = (&open_tracer, traced.as_mut()) {
+    // Traced open loop: spans of the one-frame-per-camera polls.
+    let mut traced_open_pass = None;
+    if let Some(t) = traced.as_mut() {
+        let tracer = Tracer::new();
+        let (pass, traced_open) =
+            workload::run_fleet(&w, w.open.cameras, Some(&tracer), |f| open_loop(&w, f, Some(&tracer), traced_ticks));
+        checks.push(Check {
+            name: "open-loop queue mirror matches the fleet backlog",
+            ok: traced_open.mirror_ok,
+            detail: "traced".to_string(),
+        });
         let spans = tracer.take_spans();
-        t.spans.add(&spans, open.offered - open.dropped);
+        t.spans.add(&spans, traced_open.offered - traced_open.dropped);
         t.last.extend(spans);
+        traced_open_pass = Some((pass, traced_open.dropped));
         let path = std::path::PathBuf::from(format!("perfbench/out/trace-{}-seed{}.jsonl", args.workload, args.seed));
         match trace::write_spans(&path, &fp, &t.last) {
             Ok(()) => eprintln!("trace: {} spans written to {}", t.last.len(), path.display()),
@@ -768,14 +776,17 @@ fn main() {
         }
     }
     eprintln!(
-        "latency: {} samples from {} ticks; p90 {:.2} p95 {:.2} p99 {:.2} max {:.2} ms; limit {} ms",
+        "latency (untraced open loop): {} samples from {} ticks; p50 {:.2} p90 {:.2} p95 {:.2} p99 {:.2} \
+         (median of ten segments' p99 {:.2}) max {:.2} ms; limit {} ms",
         open.latency_ms.len(),
         w.open.ticks,
+        quantile(&open.latency_ms, 0.5),
         quantile(&open.latency_ms, 0.9),
         quantile(&open.latency_ms, 0.95),
         quantile(&open.latency_ms, 0.99),
+        open.segment_quantile(w.open.ticks, 0.99),
         quantile(&open.latency_ms, 1.0),
-        w.latency_limit_ms
+        workload::LATENCY_LIMIT_MS
     );
 
     let exec_after = vmq_exec::stats();
@@ -801,12 +812,16 @@ fn main() {
         ok: quality.false_matches == 0,
         detail: format!("{} false matches", quality.false_matches),
     });
-    for (pass, cameras, frames, label) in [
-        (&reference, w.cameras.len(), w.frames_per_camera, "closed"),
-        (&open_pass, w.open.cameras, w.open.ticks, "open"),
-    ] {
-        // A frame dropped at the edge legitimately changes the open loop.
-        if label == "open" && open.dropped > 0 {
+    let mut parity_passes = vec![
+        (&reference, w.cameras.len(), w.frames_per_camera, 0, "closed"),
+        (&open_pass, w.open.cameras, w.open.ticks, open.dropped, "open"),
+    ];
+    if let Some((pass, dropped)) = &traced_open_pass {
+        parity_passes.push((pass, w.open.cameras, traced_ticks, *dropped, "traced open"));
+    }
+    for (pass, cameras, frames, dropped, label) in parity_passes {
+        // A frame dropped at the edge legitimately changes an open loop.
+        if dropped > 0 {
             continue;
         }
         for c in [0, cameras / 2, cameras - 1].into_iter().collect::<BTreeSet<_>>() {
