@@ -368,14 +368,14 @@ fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-fn fingerprint(args: &Args) -> String {
+fn fingerprint(args: &Args, workers: usize) -> String {
     format!(
         "{{\"cores\":{},\"kernel_backend\":\"{}\",\"VMQ_FORCE_SCALAR\":{},\"VMQ_NO_POOL\":{},\"workers\":{},\"workload\":\"{}\",\"seed\":{}}}",
         std::thread::available_parallelism().map_or(0, |n| n.get()),
         vmq_nn::KernelBackend::active().name(),
         env_flag("VMQ_FORCE_SCALAR"),
         env_flag("VMQ_NO_POOL"),
-        workload::WORKERS,
+        workers,
         args.workload,
         args.seed
     )
@@ -562,14 +562,12 @@ struct Measured<'a> {
 }
 
 impl Measured<'_> {
-    /// Sustained closed-loop throughput: all frames drained ÷ all drain
-    /// wall. Per-repetition rates on a shared host are bimodal (see
-    /// `README.md`), so their median jumps between modes from run to run;
-    /// the ratio of sums weighs each mode by the time actually spent in it.
+    /// Closed-loop throughput: the median of the repetitions' rates. On a
+    /// shared host a few repetitions run two to three times slower or
+    /// faster than the rest (see `README.md`); a ratio of sums moves with
+    /// each of them, the median does not.
     fn fps(reps: &[Closed]) -> f64 {
-        let frames: u64 = reps.iter().map(|c| c.frames).sum();
-        let drain_ns: u64 = reps.iter().map(|c| c.drain_ns).sum();
-        frames as f64 / (drain_ns as f64 / 1e9)
+        median(&reps.iter().map(Closed::frames_per_s).collect::<Vec<_>>())
     }
 
     fn failed(&self) -> u64 {
@@ -688,9 +686,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let fp = fingerprint(&args);
-    eprintln!("fingerprint {fp}");
     let (w, setup_s) = set_up(&args);
+    let fp = fingerprint(&args, w.fleet.workers);
+    eprintln!("fingerprint {fp}");
     eprintln!(
         "set-up: {} cameras, {} statements, {} frames/camera; plans {:?}; {} set-ups, s min {:.4} median {:.4} max {:.4}",
         w.cameras.len(),
