@@ -1,12 +1,11 @@
-//! Streaming hopping-window aggregate estimation through the batched
-//! operator pipeline.
+//! Streaming hopping-window aggregate estimation through the batched stream
+//! executor.
 //!
-//! [`WindowedAggregator`] is the `vmq-aggregate` side of the pipeline's
-//! aggregate execution mode: it implements
-//! [`WindowEstimator`](vmq_query::WindowEstimator), so an aggregate
-//! [`PhysicalPlan`](vmq_query::PhysicalPlan) (`Source → WindowFilter →
-//! AggregateSink`) hands it every completed hopping window together with the
-//! window-wide filter indicator columns. Per window it optionally picks the
+//! [`WindowedAggregator`] is the `vmq-aggregate` side of aggregate
+//! execution: it implements [`WindowEstimator`], so an aggregate statement
+//! registered on a [`SharedStreamPlan`](vmq_query::SharedStreamPlan)
+//! (`source → window-filter → aggregate-sink`) hands it every completed
+//! hopping window together with the window-wide filter indicator columns. Per window it optionally picks the
 //! control-variate backend from a calibration prefix (the adaptive planner's
 //! aggregate extension, [`vmq_query::select_cv_backend`]), then runs the
 //! same trial loop as the legacy one-shot [`crate::AggregateEstimator`] —
@@ -24,7 +23,7 @@ use vmq_detect::{CostLedger, Detector};
 use vmq_query::{select_cv_backend, CvBackendChoice, CvCandidate, Query, WindowCharge, WindowData, WindowEstimator};
 
 /// Streaming per-window aggregate estimator: consumes completed hopping
-/// windows from an aggregate physical plan and produces one
+/// windows from an aggregate statement's plan and produces one
 /// [`AggregateReport`] per window.
 ///
 /// With a single filter backend (or without

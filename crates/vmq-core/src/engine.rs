@@ -268,19 +268,18 @@ impl VmqEngine {
         }
     }
 
-    /// Runs a query over the test split as a bounded producer/consumer
-    /// *stream* (the same batched operator pipeline as [`VmqEngine::run_query`],
-    /// fed by a producer thread), plus accuracy against ground truth.
+    /// Runs a query over the test split as a lazily pulled *stream* (the
+    /// same one-statement shared plan as [`VmqEngine::run_query`]), plus
+    /// accuracy against ground truth.
     pub fn run_streaming(
         &self,
         query: &Query,
         choice: FilterChoice,
         cascade: CascadeConfig,
-        channel_capacity: usize,
     ) -> (QueryRun, QueryAccuracy) {
         let frames = self.dataset.test();
         let filter = self.resolve_filter(choice);
-        let run = exec::run_streaming(query, frames.to_vec(), filter.as_ref(), &self.oracle, cascade, channel_capacity);
+        let run = exec::run_streaming(query, frames.iter().cloned(), filter.as_ref(), &self.oracle, cascade);
         let accuracy = QueryExecutor::new(query.clone()).accuracy(&run, frames);
         (run, accuracy)
     }
@@ -480,7 +479,6 @@ mod tests {
             &Query::paper_q4(),
             FilterChoice::Calibrated(CalibrationProfile::perfect()),
             CascadeConfig::strict(),
-            8,
         );
         assert!(run.mode.contains("streaming"));
         assert_eq!(run.frames_total, 100);

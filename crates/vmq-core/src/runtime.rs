@@ -399,16 +399,7 @@ impl<'e> StreamRuntime<'e> {
                     // detector, exactly like an isolated brute run.
                     let backend = if report.choice.brute_force { None } else { Some(plan_backends[*chosen]) };
                     let mode_label = format!("adaptive {}", report.choice.label);
-                    let calibrate_row = Some(StageMetrics {
-                        operator: "calibrate".to_string(),
-                        stage: None,
-                        frames_in: report.prefix_frames,
-                        frames_out: report.prefix_frames,
-                        virtual_ms: report.calibration_ms,
-                        wall_ms: report.calibration_wall_ms,
-                        workers: 1,
-                        kernel_backend: None,
-                    });
+                    let calibrate_row = Some(report.calibrate_row());
                     match drift.as_ref().filter(|config| config.enabled()) {
                         Some(config) => {
                             plan.register_select_drifted(

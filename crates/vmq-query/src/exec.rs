@@ -1,35 +1,23 @@
 //! Query execution entry points.
 //!
-//! All execution modes — brute force, filtered and streaming — are thin
-//! front-ends over the batched operator pipeline of [`crate::pipeline`]: the
-//! executor compiles the query and mode into a
-//! [`PhysicalPlan`](crate::pipeline::PhysicalPlan)
-//! (`Source → CascadeFilter → Detect → PredicateEval → Sink`) and drains a
-//! frame source through it. Every operator charges whole batches to the
-//! virtual-time [`CostLedger`] with the paper's per-frame costs, and the run
-//! reports unified per-operator [`StageMetrics`].
+//! Every entry point runs a single query as a one-statement
+//! [`SharedStreamPlan`]: brute force registers the statement with no filter
+//! backend, filtered and streaming runs register one backend, adaptive runs
+//! register the planner's choice with its `calibrate` row, and aggregates
+//! register one window estimator. The plan charges whole batches to the
+//! statement's virtual-time [`CostLedger`] with the paper's per-frame costs,
+//! and the run reports per-stage [`StageMetrics`].
 
 use crate::ast::Query;
 use crate::drift::ReplanEvent;
 use crate::metrics::QueryAccuracy;
-use crate::pipeline::{
-    AggregateSpec, IterSource, PhysicalPlan, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator,
-};
+use crate::pipeline::{AggregateSpec, IterSource, PipelineConfig, SharedStreamPlan, StageMetrics, WindowEstimator};
 use crate::plan::CascadeConfig;
-use crate::planner::CalibrationReport;
+use crate::planner::{plan_cascade, CalibrationReport};
 use serde::{Deserialize, Serialize};
 use vmq_detect::{CostLedger, DetectionCache, Detector};
 use vmq_filters::FrameFilter;
 use vmq_video::Frame;
-
-/// How a query is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Run the expensive detector on every frame (the baseline of Table III).
-    BruteForce,
-    /// Run the filter cascade first and the detector only on survivors.
-    Filtered(CascadeConfig),
-}
 
 /// The result of running a query over a set of frames.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,30 +75,31 @@ pub struct QueryExecutor {
     query: Query,
     ledger: CostLedger,
     pipeline: PipelineConfig,
+    workers: usize,
 }
 
 impl QueryExecutor {
     /// Creates an executor for a query with the paper's cost model.
     pub fn new(query: Query) -> Self {
-        QueryExecutor { query, ledger: CostLedger::paper(), pipeline: PipelineConfig::default() }
+        Self::with_ledger(query, CostLedger::paper())
     }
 
     /// Creates an executor with a custom cost ledger.
     pub fn with_ledger(query: Query, ledger: CostLedger) -> Self {
-        QueryExecutor { query, ledger, pipeline: PipelineConfig::default() }
+        QueryExecutor { query, ledger, pipeline: PipelineConfig::default(), workers: 1 }
     }
 
-    /// Overrides the pipeline's batch size (other pipeline knobs keep their
-    /// current values).
+    /// Overrides the plan's batch size.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.pipeline.batch_size = batch_size.max(1);
+        self.pipeline = PipelineConfig::with_batch_size(batch_size);
         self
     }
 
-    /// Overrides the filter-stage worker count (bit-identical results for
-    /// any value; purely a wall-clock knob).
+    /// Overrides the worker count the filter and detect stages shard over
+    /// (see [`SharedStreamPlan::with_workers`]; bit-identical results for
+    /// any value, purely a wall-clock knob).
     pub fn with_filter_workers(mut self, workers: usize) -> Self {
-        self.pipeline = self.pipeline.with_filter_workers(workers);
+        self.workers = workers.max(1);
         self
     }
 
@@ -124,24 +113,22 @@ impl QueryExecutor {
         &self.ledger
     }
 
-    /// Compiles the physical plan for this executor's query under `mode` and
-    /// runs it over `frames`. `filter` is required for
-    /// [`ExecutionMode::Filtered`]; `detector` should not carry its own
-    /// ledger (the pipeline does the charging).
-    pub fn run(
-        &self,
-        frames: &[Frame],
-        filter: Option<&dyn FrameFilter>,
-        detector: &dyn Detector,
-        mode: ExecutionMode,
-    ) -> QueryRun {
-        PhysicalPlan::new(&self.query, mode, filter, detector, self.ledger.clone(), self.pipeline).execute_slice(frames)
+    /// An empty one-statement plan. The executor's ledger is the statement's
+    /// private ledger, so it accumulates over runs; the plan's global ledger
+    /// and detection cache are private to the run.
+    fn plan<'a>(&self, detector: &'a dyn Detector) -> SharedStreamPlan<'a> {
+        let global = CostLedger::new(self.ledger.model().clone());
+        SharedStreamPlan::new(detector, DetectionCache::new(), global, self.pipeline).with_workers(self.workers)
     }
 
     /// Runs the query in brute-force mode: the expensive detector evaluates
-    /// every frame.
+    /// every frame. `detector` should not carry its own ledger (the plan
+    /// does the charging).
     pub fn run_brute_force(&self, frames: &[Frame], detector: &dyn Detector) -> QueryRun {
-        self.run(frames, None, detector, ExecutionMode::BruteForce)
+        let mut plan = self.plan(detector);
+        // Without a backend every frame escalates; the cascade is never read.
+        plan.register_select(self.query.clone(), CascadeConfig::strict(), None, self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Runs the query with a filter cascade in front of the detector.
@@ -152,15 +139,20 @@ impl QueryExecutor {
         detector: &dyn Detector,
         config: CascadeConfig,
     ) -> QueryRun {
-        self.run(frames, Some(filter), detector, ExecutionMode::Filtered(config))
+        let mut plan = self.plan(detector);
+        let backend = plan.add_backend(filter);
+        plan.register_select(self.query.clone(), config, Some(backend), self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Runs the query *adaptively*: the first `prefix_frames` frames form a
     /// calibration prefix on which every `(backend × tolerance)` candidate
     /// is profiled; the cheapest combination that kept 100 % recall on the
-    /// prefix is then executed over **all** of `frames` (prefix included)
-    /// through the standard pipeline. The run's virtual time includes the
-    /// calibration cost, and its stage metrics carry a `calibrate` row.
+    /// prefix is then executed over **all** of `frames` (prefix included).
+    /// The planner may choose the brute-force floor, which registers no
+    /// backend, so the run costs at most brute force plus the calibration
+    /// bill. The run's virtual time includes the calibration cost, and its
+    /// stage metrics open with a `calibrate` row.
     pub fn run_adaptive(
         &self,
         frames: &[Frame],
@@ -170,24 +162,27 @@ impl QueryExecutor {
         detector: &dyn Detector,
     ) -> (QueryRun, CalibrationReport) {
         let prefix = &frames[..prefix_frames.min(frames.len())];
-        let (mut plan, report) = PhysicalPlan::new_adaptive(
-            &self.query,
-            prefix,
-            backends,
-            tolerances,
-            detector,
+        let report =
+            plan_cascade(&self.query, prefix, backends, tolerances, detector, &self.ledger, self.pipeline.batch_size);
+        let mut plan = self.plan(detector);
+        let backend = (!report.choice.brute_force).then(|| plan.add_backend(backends[report.choice.backend_index]));
+        plan.register_select_with(
+            self.query.clone(),
+            report.choice.cascade,
+            backend,
             self.ledger.clone(),
-            self.pipeline,
+            format!("adaptive {}", report.choice.label),
+            Some(report.calibrate_row()),
         );
-        (plan.execute_slice(frames), report)
+        (plan.execute_slice(frames).remove(0), report)
     }
 
     /// Runs the query as a *windowed aggregate*: every frame is decoded and
-    /// filtered window-wide (one `window-filter` operator per candidate
-    /// backend), and `estimator` receives each completed hopping window of
+    /// filtered window-wide (one `window-filter` row per candidate backend),
+    /// and `estimator` receives each completed hopping window of
     /// `spec.window` frames, running the expensive detector on sampled
     /// frames only. Aggregate reports accumulate inside the estimator; the
-    /// returned [`QueryRun`] carries the pipeline's stage metrics (an empty
+    /// returned [`QueryRun`] carries the plan's stage metrics (an empty
     /// answer set — aggregates estimate fractions, they do not select
     /// frames).
     pub fn run_aggregate(
@@ -198,16 +193,10 @@ impl QueryExecutor {
         detector: &dyn Detector,
         estimator: &mut dyn WindowEstimator,
     ) -> QueryRun {
-        let mut plan = PhysicalPlan::new_aggregate(
-            &self.query,
-            spec,
-            backends,
-            detector,
-            estimator,
-            self.ledger.clone(),
-            self.pipeline,
-        );
-        plan.execute_slice(frames)
+        let mut plan = self.plan(detector);
+        let indices: Vec<usize> = backends.iter().map(|&filter| plan.add_backend(filter)).collect();
+        plan.register_aggregate(self.query.clone(), spec, &indices, estimator, self.ledger.clone());
+        plan.execute_slice(frames).remove(0)
     }
 
     /// Ground-truth answer set of the query over a set of frames.
@@ -221,26 +210,20 @@ impl QueryExecutor {
     }
 }
 
-/// Runs a query over a frame *stream* using a bounded producer/consumer
-/// pipeline: a producer thread pushes frames into a bounded channel while
-/// the caller's thread drains it through the shared batched runtime
-/// ([`SharedStreamPlan`] with a single registration) — the same code path
-/// multi-query execution uses, so there is exactly one batched executor.
-/// This mirrors how a continuously arriving camera stream is consumed.
+/// Runs a query over a frame *stream*: frames are pulled lazily from
+/// `frames`, one batch at a time, through a one-statement
+/// [`SharedStreamPlan`], so a continuously arriving camera stream is consumed
+/// without ever being collected in full.
 pub fn run_streaming<I>(
     query: &Query,
     frames: I,
     filter: &dyn FrameFilter,
     detector: &dyn Detector,
     config: CascadeConfig,
-    channel_capacity: usize,
 ) -> QueryRun
 where
-    I: IntoIterator<Item = Frame> + Send,
-    I::IntoIter: Send,
+    I: IntoIterator<Item = Frame>,
 {
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Frame>(channel_capacity.max(1));
-    let ledger = CostLedger::paper();
     let mut plan =
         SharedStreamPlan::new(detector, DetectionCache::new(), CostLedger::paper(), PipelineConfig::default());
     let backend = plan.add_backend(filter);
@@ -248,26 +231,11 @@ where
         query.clone(),
         config,
         Some(backend),
-        ledger,
+        CostLedger::paper(),
         format!("streaming {}", config.label(query.has_spatial_constraints())),
         None,
     );
-    // vmq-lint: allow(no-raw-thread-spawn) -- producer/consumer over a
-    // bounded channel needs a truly concurrent producer; on the vmq-exec
-    // pool a nested spawn runs inline on the caller's worker, so the
-    // producer would block on the full channel before `plan.execute` ever
-    // drained it.
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for frame in frames {
-                if tx.send(frame).is_err() {
-                    break;
-                }
-            }
-        });
-        plan.execute(&mut IterSource::new(rx.iter()))
-    })
-    .remove(0)
+    plan.execute(&mut IterSource::new(frames.into_iter())).remove(0)
 }
 
 #[cfg(test)]
@@ -336,14 +304,8 @@ mod tests {
         let batch = exec.run_filtered(ds.test(), &filter, &oracle, CascadeConfig::tolerant());
         let stream_filter =
             CalibratedFilter::new(DatasetProfile::jackson().class_list(), 14, CalibrationProfile::perfect(), 5);
-        let stream_run = run_streaming(
-            &Query::paper_q4(),
-            ds.test().to_vec(),
-            &stream_filter,
-            &oracle,
-            CascadeConfig::tolerant(),
-            8,
-        );
+        let stream_run =
+            run_streaming(&Query::paper_q4(), ds.test().to_vec(), &stream_filter, &oracle, CascadeConfig::tolerant());
         assert_eq!(stream_run.frames_total, ds.test().len());
         assert_eq!(stream_run.matched_frames, batch.matched_frames);
         assert!(stream_run.mode.contains("streaming"));

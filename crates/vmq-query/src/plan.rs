@@ -10,7 +10,8 @@
 
 use crate::ast::{CountOp, CountTarget, Predicate, Query};
 use serde::{Deserialize, Serialize};
-use vmq_filters::{FilterEstimate, FrameFilter};
+use vmq_filters::{ClassGrid, FilterEstimate, FrameFilter};
+use vmq_video::ObjectClass;
 
 /// Tolerances of the approximate cascade check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,6 +118,11 @@ impl FilterCascade {
     /// Decides whether the frame could satisfy the query, given only the
     /// filter estimate. Returning `false` means the frame is safely dropped;
     /// returning `true` sends it to the expensive detector.
+    ///
+    /// The check fails open: a predicate that reads a non-finite count,
+    /// total or grid cell cannot rule the frame out, so the frame escalates.
+    /// Without this, rounding maps a NaN count to 0 and a NaN grid cell
+    /// thresholds to empty, and a broken filter silently drops true frames.
     pub fn passes(&self, estimate: &FilterEstimate, threshold: f32) -> bool {
         self.query.predicates.iter().all(|p| self.predicate_possible(p, estimate, threshold))
     }
@@ -195,7 +201,8 @@ impl FilterCascade {
                         CountTarget::Total => Some((estimate.total_count(), estimate.total_count_rounded())),
                         CountTarget::Class(c) => estimate.count_for(*c).zip(estimate.count_for_rounded(*c)),
                         CountTarget::ClassColor(..) => None,
-                    };
+                    }
+                    .filter(|(est, _)| est.is_finite());
                     match est {
                         Some((est, rounded)) => {
                             let d = est as f64 - *value as f64;
@@ -220,30 +227,35 @@ impl FilterCascade {
 
     fn predicate_possible(&self, predicate: &Predicate, estimate: &FilterEstimate, threshold: f32) -> bool {
         match predicate {
-            Predicate::Count { target, op, value } => match target {
-                CountTarget::Total => self.count_possible(*op, estimate.total_count_rounded(), *value as i64),
-                CountTarget::Class(c) => match estimate.count_for_rounded(*c) {
-                    Some(est) => self.count_possible(*op, est, *value as i64),
-                    None => true, // the filter cannot rule the frame out
-                },
-                CountTarget::ClassColor(c, _) => match estimate.count_for_rounded(*c) {
+            Predicate::Count { target, op, value } => {
+                let count = match target {
+                    CountTarget::Total => Some(estimate.total_count()),
+                    CountTarget::Class(c) | CountTarget::ClassColor(c, _) => estimate.count_for(*c),
+                };
+                // An untrained class or a non-finite count cannot rule the
+                // frame out.
+                let Some(count) = count.filter(|c| c.is_finite()) else { return true };
+                let rounded = match target {
+                    CountTarget::Total => count.round(),
+                    _ => count.max(0.0).round(),
+                } as i64;
+                match target {
                     // Filters are colour-blind: the class count upper-bounds
                     // the coloured count, so only lower-bound requirements can
                     // be refuted.
-                    Some(est) => match op {
+                    CountTarget::ClassColor(..) => match op {
                         CountOp::Exactly | CountOp::AtLeast => {
-                            est >= *value as i64 - self.config.count_tolerance as i64
+                            rounded >= *value as i64 - self.config.count_tolerance as i64
                         }
                         CountOp::AtMost => true,
                     },
-                    None => true,
-                },
-            },
+                    _ => self.count_possible(*op, rounded, *value as i64),
+                }
+            }
             Predicate::Spatial { first, relation, second } => {
-                let (Some(a), Some(b)) = (
-                    estimate.binary_grid_for(first.class, threshold),
-                    estimate.binary_grid_for(second.class, threshold),
-                ) else {
+                let (Some(a), Some(b)) =
+                    (finite_grid(estimate, first.class, threshold), finite_grid(estimate, second.class, threshold))
+                else {
                     return true;
                 };
                 let a = a.dilate(self.config.location_tolerance);
@@ -251,7 +263,7 @@ impl FilterCascade {
                 relation.holds_grids(&a, &b)
             }
             Predicate::Region { object, region, min_count } => {
-                let Some(grid) = estimate.binary_grid_for(object.class, threshold) else { return true };
+                let Some(grid) = finite_grid(estimate, object.class, threshold) else { return true };
                 let Some(r) = self.query.catalog.get(region) else { return false };
                 if *min_count == 0 {
                     return true;
@@ -266,13 +278,21 @@ impl FilterCascade {
     }
 }
 
+/// The thresholded occupancy grid of `class`, or `None` when the filter has
+/// no grid for the class or the grid holds a non-finite activation. Either
+/// way the grid cannot rule a frame out.
+fn finite_grid(estimate: &FilterEstimate, class: ObjectClass, threshold: f32) -> Option<ClassGrid> {
+    let grid = estimate.grid_for(class)?;
+    grid.cells().iter().all(|v| v.is_finite()).then(|| grid.threshold(threshold))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::ObjectRef;
 
-    use vmq_filters::{ClassGrid, FilterKind};
-    use vmq_video::{BoundingBox, ObjectClass};
+    use vmq_filters::FilterKind;
+    use vmq_video::BoundingBox;
 
     fn estimate(car_count: f32, car_box: Option<BoundingBox>, person_box: Option<BoundingBox>) -> FilterEstimate {
         let g = 8;

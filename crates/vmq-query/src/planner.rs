@@ -35,6 +35,7 @@
 //! parity guarantee the executor relies on).
 
 use crate::ast::Query;
+use crate::pipeline::StageMetrics;
 use crate::plan::{CascadeConfig, FilterCascade};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -134,6 +135,22 @@ impl CalibrationReport {
     /// Profiles of the candidates that were lossless on the prefix.
     pub fn lossless_candidates(&self) -> Vec<&CandidateProfile> {
         self.profiles.iter().filter(|p| p.is_lossless()).collect()
+    }
+
+    /// The `calibrate` pseudo-stage row that opens an adaptive run's stage
+    /// metrics, so the calibration bill shows up in the same per-stage
+    /// reports as execution cost.
+    pub fn calibrate_row(&self) -> StageMetrics {
+        StageMetrics {
+            operator: "calibrate".to_string(),
+            stage: None,
+            frames_in: self.prefix_frames,
+            frames_out: self.prefix_frames,
+            virtual_ms: self.calibration_ms,
+            wall_ms: self.calibration_wall_ms,
+            workers: 1,
+            kernel_backend: None,
+        }
     }
 }
 

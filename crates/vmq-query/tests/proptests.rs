@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use vmq_detect::Detector;
 use vmq_detect::OracleDetector;
-use vmq_filters::{CalibratedFilter, CalibrationProfile, FrameFilter};
+use vmq_filters::{CalibratedFilter, CalibrationProfile, FilterEstimate, FrameFilter};
 use vmq_query::ast::CountOp;
 use vmq_query::{
     format_statement, parse_statement, CascadeConfig, CountTarget, FilterCascade, ObjectRef, Predicate, Query,
@@ -117,8 +117,71 @@ fn paper_query_strategy() -> impl Strategy<Value = Query> {
     })
 }
 
+/// One predicate of every shape a non-finite estimate field can break:
+/// class counts (`=`, `>=`), the total count, a spatial relation and a
+/// screen region.
+fn fail_open_queries() -> Vec<Query> {
+    let car = ObjectRef::class(ObjectClass::Car);
+    vec![
+        Query::paper_q1(),
+        Query::paper_q3(),
+        Query::paper_q4(),
+        Query::paper_q5(),
+        Query::new("any-car").class_count(ObjectClass::Car, CountOp::AtLeast, 1),
+        Query::new("two-cars").class_count(ObjectClass::Car, CountOp::Exactly, 2),
+        Query::new("any-object").total_count(CountOp::AtLeast, 1),
+        Query::new("car-lower-right").in_region(car, "lower-right", 1),
+    ]
+}
+
+/// Overwrites estimate fields with non-finite values. Each fault is
+/// `(field, slot, cell, value)`: field 0 is a class count, 1 the total hint,
+/// 2 a grid cell; the value is NaN, +inf or -inf.
+fn inject_non_finite(estimate: &mut FilterEstimate, faults: &[(usize, usize, usize, usize)]) {
+    for &(field, slot, cell, value) in faults {
+        let v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][value];
+        match field {
+            0 => {
+                let n = estimate.counts.len();
+                estimate.counts[slot % n] = v;
+            }
+            1 => estimate.total_hint = Some(v),
+            _ => {
+                let n = estimate.grids.len();
+                let grid = &mut estimate.grids[slot % n];
+                let g = grid.size();
+                grid.set(cell / g % g, cell % g, v);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Cascade checks fail open on an untrustworthy filter: NaN or ±inf
+    /// injected into any count, the total hint or any grid cell of a
+    /// perfect filter's estimate never drops a frame that truly satisfies
+    /// the query, under every tolerance of the lattice (recall stays 1.0).
+    #[test]
+    fn cascade_fails_open_on_non_finite_estimates(
+        frame in frame_strategy(),
+        faults in prop::collection::vec((0usize..3, 0usize..4, 0usize..4096, 0usize..3), 1..4),
+    ) {
+        let filter = CalibratedFilter::new(vec![ObjectClass::Car, ObjectClass::Person], 16, CalibrationProfile::perfect(), 3);
+        let mut estimate = filter.estimate(&frame);
+        inject_non_finite(&mut estimate, &faults);
+        for query in fail_open_queries() {
+            if !query.matches_ground_truth(&frame) {
+                continue;
+            }
+            for config in CascadeConfig::lattice() {
+                let cascade = FilterCascade::new(query.clone(), config);
+                prop_assert!(cascade.passes(&estimate, filter.threshold()),
+                    "{} dropped a true frame under {:?} with faults {:?}", query.name, config, faults);
+            }
+        }
+    }
 
     /// Ground-truth evaluation agrees with evaluating the perfect detector's
     /// output (they are the same information through two code paths).

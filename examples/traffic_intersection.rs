@@ -3,9 +3,9 @@
 //!
 //! The query asks for frames where a car is to the left of a bus (query q7
 //! without the exact-count constraints), evaluated with the streaming
-//! executor: frames arrive through a bounded channel as they would from a
-//! camera, the filter cascade decides which frames are worth detecting, and
-//! the expensive detector confirms survivors.
+//! executor: frames are pulled from the camera stream one batch at a time,
+//! the filter cascade decides which frames are worth detecting, and the
+//! expensive detector confirms survivors.
 //!
 //! ```bash
 //! cargo run --release --example traffic_intersection
@@ -38,7 +38,7 @@ fn main() {
     let stream = FrameStream::with_length(scene, 2000);
 
     println!("monitoring 2000 frames of a simulated {} camera...", profile.kind.name());
-    let run = run_streaming(&query, stream, &filter, &oracle, CascadeConfig::tolerant(), 64);
+    let run = run_streaming(&query, stream, &filter, &oracle, CascadeConfig::tolerant());
 
     println!("mode:                  {}", run.mode);
     println!("frames processed:      {}", run.frames_total);

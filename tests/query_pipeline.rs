@@ -77,7 +77,7 @@ fn streaming_and_batch_agree() {
     for query in [Query::paper_q6(), Query::paper_q7()] {
         let exec = QueryExecutor::new(query.clone());
         let batch = exec.run_filtered(ds.test(), &fresh_filter(), &oracle, CascadeConfig::loose());
-        let stream = run_streaming(&query, ds.test().to_vec(), &fresh_filter(), &oracle, CascadeConfig::loose(), 16);
+        let stream = run_streaming(&query, ds.test().to_vec(), &fresh_filter(), &oracle, CascadeConfig::loose());
         assert_eq!(batch.matched_frames, stream.matched_frames, "query {}", query.name);
         assert_eq!(batch.frames_passed_filter, stream.frames_passed_filter);
     }
